@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.cluster.state import ClusterState
 from repro.core.graph_manager import GraphManager
@@ -125,7 +125,80 @@ class SchedulerStatistics:
         self.total_preemptions -= len(decision.preemptions)
 
 
-class FirmamentScheduler:
+def diff_assignments(
+    state: ClusterState,
+    task_ids: Iterable[int],
+    assignments: Dict[int, int],
+    allow_migrations: bool,
+    decision: SchedulingDecision,
+) -> None:
+    """Fold flow assignments into placements/migrations/preemptions.
+
+    ``task_ids`` are the tasks of the solved network; ``assignments`` maps
+    each placed task to its machine (from ``extract_placements``).
+    """
+    tasks = state.tasks
+    for task_id in task_ids:
+        task = tasks.get(task_id)
+        if task is None:
+            continue
+        assigned_machine = assignments.get(task_id)
+        if task.is_running:
+            if assigned_machine is None:
+                if allow_migrations:
+                    decision.preemptions.append(task_id)
+            elif assigned_machine != task.machine_id:
+                if allow_migrations:
+                    decision.migrations[task_id] = assigned_machine
+            # Same machine: keep running, nothing to do.
+        elif assigned_machine is None:
+            decision.unscheduled.append(task_id)
+        else:
+            decision.placements[task_id] = assigned_machine
+
+
+def defer_pending(
+    state: ClusterState, task_ids: Iterable[int], decision: SchedulingDecision
+) -> None:
+    """Degrade a dead round: previous placements stand, pending tasks wait.
+
+    Marks the decision ``round_deadline``-degraded and lists the network's
+    not-yet-running tasks as unscheduled; running tasks stay put (no
+    preemptions or migrations).
+    """
+    decision.degraded = True
+    decision.degraded_reason = "round_deadline"
+    tasks = state.tasks
+    for task_id in task_ids:
+        task = tasks.get(task_id)
+        if task is not None and not task.is_running:
+            decision.unscheduled.append(task_id)
+
+
+class DecisionApplier:
+    """``apply`` / ``schedule_and_apply``, shared by the flow schedulers."""
+
+    def apply(self, state: ClusterState, decision: SchedulingDecision, now: float) -> None:
+        """Apply a scheduling decision to the cluster state.
+
+        Preemptions are applied first so their slots are free for the new
+        placements and migrations.
+        """
+        for task_id in decision.preemptions:
+            state.preempt_task(task_id, now)
+        for task_id, machine_id in decision.migrations.items():
+            state.migrate_task(task_id, machine_id, now)
+        for task_id, machine_id in decision.placements.items():
+            state.place_task(task_id, machine_id, now)
+
+    def schedule_and_apply(self, state: ClusterState, now: float = 0.0) -> SchedulingDecision:
+        """Convenience wrapper: schedule and immediately apply the decision."""
+        decision = self.schedule(state, now)
+        self.apply(state, decision, now)
+        return decision
+
+
+class FirmamentScheduler(DecisionApplier):
     """Flow-based scheduler generalizing Quincy (the paper's core system)."""
 
     def __init__(
@@ -243,12 +316,13 @@ class FirmamentScheduler:
             # preemptions or migrations) and let pending tasks wait one
             # round.  The incremental solvers notice the revision gap next
             # round and rebuild warm, so nothing stale survives.
-            return self._degraded_decision(
-                state,
-                reason="round_deadline",
+            decision = SchedulingDecision(
                 algorithm_runtime=time.perf_counter() - solver_start,
-                graph_seconds=graph_seconds,
+                graph_update_seconds=graph_seconds,
             )
+            defer_pending(state, self.graph_manager.task_nodes, decision)
+            self.statistics.record(decision)
+            return decision
         wall_runtime = time.perf_counter() - solver_start
         if getattr(self.solver, "charges_wall_clock", False):
             # The parallel executor races the algorithms physically, so the
@@ -271,7 +345,11 @@ class FirmamentScheduler:
             self.graph_manager.machine_nodes,
             self.graph_manager.sink_node,
         )
-        decision = self._diff_against_state(state, assignments)
+        decision = SchedulingDecision()
+        diff_assignments(
+            state, self.graph_manager.task_nodes, assignments,
+            self.allow_migrations, decision,
+        )
         decision.algorithm_runtime = algorithm_runtime
         decision.graph_update_seconds = graph_seconds
         # Attribute graph maintenance alongside the solver's own counters so
@@ -288,76 +366,8 @@ class FirmamentScheduler:
         self.statistics.record(decision)
         return decision
 
-    def _degraded_decision(
-        self,
-        state: ClusterState,
-        reason: str,
-        algorithm_runtime: float,
-        graph_seconds: float,
-    ) -> SchedulingDecision:
-        """Build the previous-placements-reused decision for a dead round."""
-        decision = SchedulingDecision(
-            degraded=True,
-            degraded_reason=reason,
-            algorithm_runtime=algorithm_runtime,
-            graph_update_seconds=graph_seconds,
-        )
-        for task_id in self.graph_manager.task_nodes:
-            task = state.tasks.get(task_id)
-            if task is not None and not task.is_running:
-                decision.unscheduled.append(task_id)
-        self.statistics.record(decision)
-        return decision
-
-    def apply(self, state: ClusterState, decision: SchedulingDecision, now: float) -> None:
-        """Apply a scheduling decision to the cluster state.
-
-        Preemptions are applied first so their slots are free for the new
-        placements and migrations.
-        """
-        for task_id in decision.preemptions:
-            state.preempt_task(task_id, now)
-        for task_id, machine_id in decision.migrations.items():
-            state.migrate_task(task_id, machine_id, now)
-        for task_id, machine_id in decision.placements.items():
-            state.place_task(task_id, machine_id, now)
-
-    def schedule_and_apply(self, state: ClusterState, now: float = 0.0) -> SchedulingDecision:
-        """Convenience wrapper: schedule and immediately apply the decision."""
-        decision = self.schedule(state, now)
-        self.apply(state, decision, now)
-        return decision
-
     def close(self) -> None:
         """Release solver resources (e.g. the parallel executor's worker)."""
         close = getattr(self.solver, "close", None)
         if callable(close):
             close()
-
-    # ------------------------------------------------------------------ #
-    # Decision derivation
-    # ------------------------------------------------------------------ #
-    def _diff_against_state(
-        self, state: ClusterState, assignments: Dict[int, int]
-    ) -> SchedulingDecision:
-        """Translate flow assignments into placements/migrations/preemptions."""
-        decision = SchedulingDecision()
-        for task_id, node_id in self.graph_manager.task_nodes.items():
-            task = state.tasks.get(task_id)
-            if task is None:
-                continue
-            assigned_machine = assignments.get(task_id)
-            if task.is_running:
-                if assigned_machine is None:
-                    if self.allow_migrations:
-                        decision.preemptions.append(task_id)
-                elif assigned_machine != task.machine_id:
-                    if self.allow_migrations:
-                        decision.migrations[task_id] = assigned_machine
-                # Same machine: keep running, nothing to do.
-            else:
-                if assigned_machine is None:
-                    decision.unscheduled.append(task_id)
-                else:
-                    decision.placements[task_id] = assigned_machine
-        return decision

@@ -25,12 +25,13 @@ schedules one cell), and this module does the same:
   cell's network, and solves the cells either **inline** (deterministic;
   the round charges the *slowest* cell's runtime, modeling concurrent
   cells the same way the sequential dual executor models the race) or in
-  a pool of persistent **worker subprocesses** -- one incremental
-  cost-scaling solver per cell behind the PR 2/PR 5 DIMACS transport
-  (full snapshots on cold start, revision-chained deltas with
-  :class:`~repro.solvers.parallel_executor.RevisionChainCache` resync
-  otherwise).  All cells ship before any gathers, so the round's wall
-  clock approaches the slowest cell rather than the sum.
+  persistent **worker subprocesses** -- one incremental cost-scaling
+  solver per cell behind the shared solver-worker transport
+  (:class:`~repro.solvers.worker.SolverWorker`: full snapshots on cold
+  start, revision-chained deltas and resyncs otherwise, a circuit breaker
+  per cell).  All cells ship before any gathers, so the round's wall clock
+  approaches the slowest cell rather than the sum; a cell whose worker
+  cannot answer is solved inline by the parent.
 * :class:`CrossCellBalancer` runs off the hot path, after the round's
   placements are extracted: a cell whose queued tasks exceed its free
   capacity (including a task with *no* feasible machine in its home cell)
@@ -52,7 +53,9 @@ Chaos: the scheduler honours the same :class:`~repro.chaos.ChaosPolicy`
 faults as the parallel executor, aimed at one cell per firing round
 (``round_index % num_cells``), so a ``worker_kill`` degrades exactly the
 affected cell -- its round is served by the parent-side fallback solver --
-while every other cell's worker keeps solving undisturbed.
+while every other cell's worker keeps solving undisturbed.  A cell whose
+worker keeps dying backs off through its breaker and is served inline
+until a probe round re-closes it.
 """
 
 from __future__ import annotations
@@ -67,25 +70,22 @@ from repro.cluster.task import Task
 from repro.cluster.topology import ClusterTopology
 from repro.core.graph_manager import GraphManager
 from repro.core.placement import extract_placements
-from repro.core.scheduler import SchedulerStatistics, SchedulingDecision
-from repro.flow.changes import ChangeBatch, apply_changes
-from repro.flow.dimacs import (
-    read_dimacs,
-    read_incremental,
-    write_dimacs,
-    write_incremental,
+from repro.core.scheduler import (
+    DecisionApplier,
+    SchedulerStatistics,
+    SchedulingDecision,
+    defer_pending,
+    diff_assignments,
 )
+from repro.flow.changes import ChangeBatch
 from repro.flow.graph import FlowNetwork
+from repro.solvers import make_solver
 from repro.solvers.base import (
     RoundDeadlineExceeded,
     SolverResult,
     SolverStatistics,
 )
-from repro.solvers.incremental import IncrementalCostScalingSolver
-from repro.solvers.parallel_executor import (
-    RESYNC_MAX_SNAPSHOT_MULTIPLE,
-    RevisionChainCache,
-)
+from repro.solvers.worker import SolverWorker, result_from_payload
 
 __all__ = [
     "CellPartition",
@@ -109,6 +109,13 @@ MAX_MIGRATIONS_PER_ROUND = 64
 #: cell, the worker is respawned), so the bound trades a pathological hang
 #: for one degraded cell-round.
 GATHER_TIMEOUT_SECONDS = 300.0
+
+#: The registry name of every cell's solver, inline or in a worker.
+CELL_SOLVER = "incremental_cost_scaling"
+
+#: Benchmark hook: ``perfbench/tracing.py`` wraps ``_CellWorkerClient.ship``
+#: and ``.gather`` by this name to time the parent's half of a cell's solve.
+_CellWorkerClient = SolverWorker
 
 #: Prune interval (in rounds) for the task-home and job-cell maps, which
 #: otherwise grow with workload history rather than the live set.
@@ -287,311 +294,6 @@ class CellStateView:
 
 
 # --------------------------------------------------------------------- #
-# Worker pool: one persistent incremental solver subprocess per cell
-# --------------------------------------------------------------------- #
-def _cell_solver_worker(conn, solver_kwargs: Dict[str, Any]) -> None:
-    """Entry point of a persistent per-cell solver subprocess.
-
-    Protocol-compatible with the relaxation worker of
-    :mod:`repro.solvers.parallel_executor` -- ``("full", round_id, text,
-    revision)`` / ``("delta", round_id, text, base, target)`` requests,
-    ``("result", round_id, payload)`` / ``("error", round_id, msg)``
-    replies -- but holds an :class:`IncrementalCostScalingSolver` whose
-    persistent residual survives across rounds, so a steady-state cell
-    round costs one O(|changes|) shadow patch plus a bounded delta repair.
-    """
-    solver = IncrementalCostScalingSolver(**solver_kwargs)
-    shadow: Optional[FlowNetwork] = None
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if message[0] == "shutdown":
-            break
-        if message[0] == "chaos_delay":
-            time.sleep(message[1])
-            continue
-        kind, round_id, text = message[0], message[1], message[2]
-        try:
-            if kind == "full":
-                shadow = read_dimacs(text)
-                shadow.revision = message[3]
-                # A warm solver rebuilds from its previous flows when the
-                # node-id space matches (same cell manager); a cold or
-                # reset solver just solves from scratch.
-                result = solver.solve(shadow)
-            elif shadow is None:
-                raise RuntimeError("delta request but no shadow network")
-            else:
-                base_revision, target_revision = message[3], message[4]
-                parsed = read_incremental(text)
-                apply_changes(shadow, parsed)
-                shadow.revision = target_revision
-                batch = ChangeBatch(
-                    changes=parsed,
-                    base_revision=base_revision,
-                    target_revision=target_revision,
-                )
-                result = solver.solve(shadow, changes=batch)
-            stats = result.statistics
-            response = (
-                "result",
-                round_id,
-                {
-                    "total_cost": result.total_cost,
-                    "flows": result.flows,
-                    "potentials": result.potentials,
-                    "runtime_seconds": result.runtime_seconds,
-                    "optimal": result.optimal,
-                    "iterations": stats.iterations,
-                    "pushes": stats.pushes,
-                    "relabels": stats.relabels,
-                    "epsilon_phases": stats.epsilon_phases,
-                    "arcs_patched": stats.arcs_patched,
-                    "nodes_touched": stats.nodes_touched,
-                    "price_refine_seconds": stats.price_refine_seconds,
-                    "price_refine_passes": stats.price_refine_passes,
-                    "finished_at": time.monotonic(),
-                },
-            )
-        except Exception as error:
-            # The shadow and the solver's residual may be half-patched;
-            # start clean and let the parent ship a full snapshot next.
-            shadow = None
-            solver = IncrementalCostScalingSolver(**solver_kwargs)
-            response = ("error", round_id, f"{type(error).__name__}: {error}")
-        try:
-            conn.send(response)
-        except (BrokenPipeError, OSError):  # pragma: no cover - parent died
-            break
-    try:
-        conn.close()
-    except OSError:  # pragma: no cover
-        pass
-
-
-class _CellWorkerClient:
-    """Parent-side handle of one cell's solver subprocess.
-
-    Owns the pipe, the revision-chain cache for delta/resync encoding, and
-    the answered-up bookkeeping (the same deadlock guard as the parallel
-    executor: a request is only shipped to a worker that has answered every
-    previous one, so a blocking ``send`` always finds a reader).
-    """
-
-    def __init__(self, cell: int, solver_kwargs: Optional[Dict[str, Any]] = None) -> None:
-        self.cell = cell
-        self._solver_kwargs = dict(solver_kwargs or {})
-        self._conn = None
-        self._process = None
-        self._unanswered: Set[int] = set()
-        self._cache = RevisionChainCache()
-        self._worker_revision: Optional[int] = None
-        self.snapshot_ships = 0
-        self.delta_ships = 0
-        self.fallback_rounds = 0
-        self.respawns = 0
-
-    # -- lifecycle ----------------------------------------------------- #
-    def ensure(self) -> bool:
-        """Spawn the worker if needed; False when multiprocessing is broken."""
-        if self._process is not None and self._process.is_alive():
-            return True
-        if self._process is not None:
-            self._teardown()
-        try:
-            import multiprocessing
-
-            context = multiprocessing.get_context()
-            parent_conn, child_conn = context.Pipe(duplex=True)
-            process = context.Process(
-                target=_cell_solver_worker,
-                args=(child_conn, self._solver_kwargs),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-        except Exception:
-            return False
-        self._conn = parent_conn
-        self._process = process
-        self._unanswered = set()
-        self._worker_revision = None
-        self.respawns += 1
-        return True
-
-    def kill(self) -> None:
-        """Terminate the worker process (chaos hook / tests)."""
-        if self._process is not None and self._process.is_alive():
-            self._process.terminate()
-
-    def _teardown(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-        if self._process is not None:
-            self._process.join(timeout=1.0)
-            if self._process.is_alive():  # pragma: no cover - stuck worker
-                self._process.kill()
-                self._process.join(timeout=1.0)
-        self._conn = None
-        self._process = None
-        self._unanswered = set()
-        self._worker_revision = None
-
-    def close(self) -> None:
-        """Shut the worker down cleanly (idempotent)."""
-        if self._conn is not None and not self._unanswered:
-            try:
-                self._conn.send(("shutdown",))
-            except (BrokenPipeError, OSError):
-                pass
-        self._teardown()
-
-    # -- per-round transport ------------------------------------------- #
-    def record_batch(self, changes: Optional[ChangeBatch]) -> None:
-        """Feed the resync cache (no-op for unrevisioned batches)."""
-        if changes is not None:
-            self._cache.record(changes)
-
-    def _drain_stale(self) -> None:
-        """Non-blocking drain of answers to rounds we no longer care about."""
-        if self._conn is None:
-            return
-        try:
-            while self._conn.poll(0):
-                kind, round_id, _body = self._conn.recv()
-                self._unanswered.discard(round_id)
-                if kind == "error":
-                    self._worker_revision = None
-        except (EOFError, OSError):
-            self._teardown()
-
-    def ship(
-        self,
-        round_id: int,
-        network: FlowNetwork,
-        changes: Optional[ChangeBatch],
-        chaos=None,
-        chaos_round: int = 0,
-    ) -> bool:
-        """Serialize and send the round; False means 'solve this cell inline'."""
-        if not self.ensure():
-            return False
-        self._drain_stale()
-        if self._conn is None or self._unanswered:
-            # A previous round never answered (slow or hung worker); do not
-            # queue behind it -- the answered-up guard doubles as the
-            # deadlock guard.
-            return False
-        message, kind = self._encode(round_id, network, changes)
-        if chaos is not None:
-            message = self._apply_send_chaos(chaos, chaos_round, message)
-        try:
-            self._conn.send(message)
-        except (BrokenPipeError, OSError):
-            self._teardown()
-            return False
-        self._unanswered.add(round_id)
-        if kind == "full":
-            self.snapshot_ships += 1
-        else:
-            self.delta_ships += 1
-        if chaos is not None and chaos.fires("worker_kill", chaos_round):
-            # Chaos: the cell's worker dies mid-round; the gather sees the
-            # broken pipe and the parent-side fallback serves the round.
-            self.kill()
-        return True
-
-    def _apply_send_chaos(self, chaos, chaos_round: int, message: tuple) -> tuple:
-        if chaos.fires("pipe_break", chaos_round) and self._conn is not None:
-            self._conn.close()
-            return message
-        if chaos.fires("corrupt_message", chaos_round):
-            message = (
-                message[0],
-                message[1],
-                message[2] + "\nthis is not DIMACS\n",
-            ) + tuple(message[3:])
-        if chaos.fires("worker_delay", chaos_round):
-            self._conn.send(("chaos_delay", chaos.delay_seconds))
-        return message
-
-    def _encode(
-        self, round_id: int, network: FlowNetwork, changes: Optional[ChangeBatch]
-    ) -> Tuple[tuple, str]:
-        """Delta whenever the revision chain connects; full snapshot else."""
-        target = None
-        if (
-            changes is not None
-            and changes.base_revision is not None
-            and changes.target_revision is not None
-        ):
-            target = changes.target_revision
-        if self._worker_revision is not None and target is not None:
-            composed = self._cache.compose(
-                self._worker_revision,
-                target,
-                max_changes=RESYNC_MAX_SNAPSHOT_MULTIPLE
-                * (network.num_arcs + network.num_nodes),
-            )
-            if composed is not None:
-                try:
-                    text = write_incremental(
-                        composed,
-                        base_revision=self._worker_revision,
-                        target_revision=target,
-                    )
-                except (ValueError, TypeError):
-                    pass
-                else:
-                    message = (
-                        "delta",
-                        round_id,
-                        text,
-                        self._worker_revision,
-                        target,
-                    )
-                    self._worker_revision = target
-                    return message, "delta"
-        text = write_dimacs(network, include_node_types=False)
-        shipped_revision = getattr(network, "revision", None)
-        self._worker_revision = shipped_revision
-        return ("full", round_id, text, shipped_revision), "full"
-
-    def gather(self, round_id: int, timeout: float) -> Optional[Dict[str, Any]]:
-        """Wait for the round's result; None means 'fall back inline'."""
-        if self._conn is None:
-            return None
-        deadline = time.monotonic() + timeout
-        try:
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    # Leave the round unanswered: the answered-up guard
-                    # keeps the next ship away until the worker drains it.
-                    self._worker_revision = None
-                    return None
-                if self._conn.poll(min(remaining, 0.05)):
-                    kind, answered_id, body = self._conn.recv()
-                    self._unanswered.discard(answered_id)
-                    if kind == "error":
-                        self._worker_revision = None
-                        if answered_id == round_id:
-                            return None
-                        continue
-                    if answered_id != round_id:
-                        continue  # stale answer to an abandoned round
-                    return body
-        except (EOFError, OSError):
-            self._teardown()
-            return None
-
-
-# --------------------------------------------------------------------- #
 # Cross-cell balancer
 # --------------------------------------------------------------------- #
 class CrossCellBalancer:
@@ -691,7 +393,7 @@ class CrossCellBalancer:
 # --------------------------------------------------------------------- #
 # The sharded scheduler
 # --------------------------------------------------------------------- #
-class ShardedScheduler:
+class ShardedScheduler(DecisionApplier):
     """Flow scheduling over a rack-partitioned cluster, one solver per cell.
 
     Drop-in for :class:`~repro.core.scheduler.FirmamentScheduler` (same
@@ -712,15 +414,10 @@ class ShardedScheduler:
             *maximum* cell runtime -- fully deterministic, modeling the
             concurrent deployment exactly as the sequential dual executor
             models the race.
-        solver_factory: Zero-argument callable producing each cell's
-            inline/fallback solver; defaults to
-            ``IncrementalCostScalingSolver()``.
         price_refine: Price-refine variant forwarded to every per-cell
-            solver -- the inline/fallback solvers *and* the worker
-            subprocesses (``"spfa"``, ``"dijkstra"``, or ``"auto"``; see
-            :data:`repro.solvers.cost_scaling.PRICE_REFINE_MODES`).  Only
-            valid with the default ``solver_factory``: a custom factory
-            already controls its solvers' construction.
+            incremental cost scaling solver -- inline, fallback and worker
+            alike (``"spfa"``, ``"dijkstra"``, or ``"auto"``; see
+            :data:`repro.solvers.cost_scaling.PRICE_REFINE_MODES`).
         allow_migrations: As in :class:`FirmamentScheduler`.
         balance: Enable the cross-cell balancer.
         round_deadline_seconds: Per-round budget, applied per cell (cells
@@ -736,17 +433,12 @@ class ShardedScheduler:
         policy_factory,
         num_cells: int = 4,
         workers: bool = False,
-        solver_factory=None,
         price_refine: Optional[str] = None,
         allow_migrations: bool = True,
         balance: bool = True,
         round_deadline_seconds: Optional[float] = None,
         chaos=None,
     ) -> None:
-        if solver_factory is not None and price_refine is not None:
-            raise ValueError(
-                "price_refine= only applies to the default solver_factory"
-            )
         self.partition = CellPartition(num_cells)
         self.num_cells = num_cells
         self.workers = workers
@@ -754,17 +446,13 @@ class ShardedScheduler:
         self.round_deadline_seconds = round_deadline_seconds
         self.chaos = chaos
         self._policy_factory = policy_factory
-        # The worker subprocesses construct their own solvers, so the knobs
-        # must travel as kwargs; the inline/fallback factory uses the same
-        # kwargs so both modes solve identically configured.
+        # Worker subprocesses build their solvers from these kwargs, and
+        # so do the inline/fallback solvers: both modes solve identically.
         self._solver_kwargs: Dict[str, Any] = {}
         if price_refine is not None:
             self._solver_kwargs["price_refine"] = price_refine
-        if solver_factory is None and round_deadline_seconds is not None:
+        if round_deadline_seconds is not None:
             self._solver_kwargs["round_deadline_seconds"] = round_deadline_seconds
-        self._solver_factory = solver_factory or (
-            lambda: IncrementalCostScalingSolver(**self._solver_kwargs)
-        )
         self.statistics = SchedulerStatistics()
         self.balancer = CrossCellBalancer(self.partition) if balance else None
 
@@ -772,7 +460,8 @@ class ShardedScheduler:
         self._views: List[CellStateView] = []
         self._managers: List[GraphManager] = []
         self._solvers: List[Any] = []
-        self._clients: List[_CellWorkerClient] = []
+        self._workers: List[SolverWorker] = []
+        self._fallback_rounds: List[int] = []
         self._cell_had_tasks: List[bool] = []
         self._dirty_epoch: Optional[int] = None
         self._task_home: Dict[int, int] = {}
@@ -792,32 +481,26 @@ class ShardedScheduler:
             CellStateView(state, self.partition, cell)
             for cell in range(self.num_cells)
         ]
-        self._managers = []
-        self._solvers = []
-        self._clients = []
-        for cell in range(self.num_cells):
-            policy = self._policy_factory()
-            self._managers.append(
-                GraphManager(policy, track_changes=True, chaos=self.chaos)
-            )
-            solver = self._solver_factory()
-            if self.round_deadline_seconds is not None:
-                if not hasattr(solver, "round_deadline_seconds"):
-                    raise ValueError(
-                        "round_deadline_seconds requires a cell solver with "
-                        f"deadline support; {type(solver).__name__} has none"
-                    )
-                solver.round_deadline_seconds = self.round_deadline_seconds
-            self._solvers.append(solver)
-            self._clients.append(
-                _CellWorkerClient(cell, solver_kwargs=self._solver_kwargs)
-            )
+        self._managers = [
+            GraphManager(self._policy_factory(), track_changes=True, chaos=self.chaos)
+            for _ in range(self.num_cells)
+        ]
+        self._solvers = [self._make_cell_solver() for _ in range(self.num_cells)]
+        self._workers = [
+            SolverWorker(CELL_SOLVER, self._solver_kwargs)
+            for _ in range(self.num_cells)
+        ]
+        self._fallback_rounds = [0] * self.num_cells
         self._cell_had_tasks = [False] * self.num_cells
         self._dirty_epoch = None
         self._task_home = {}
         self._job_cells = {}
         for view in self._views:
             view.dirty.mark_all()
+
+    def _make_cell_solver(self):
+        """A cell's inline/fallback solver, configured like its worker's."""
+        return make_solver(CELL_SOLVER, **self._solver_kwargs)
 
     def _home_cell(self, task: Task) -> int:
         """Current home cell of a task.
@@ -963,22 +646,19 @@ class ShardedScheduler:
             if result is None:
                 # The cell's round died at its deadline: previous
                 # placements stand, its pending tasks wait one round.
-                decision.degraded = True
-                decision.degraded_reason = "round_deadline"
-                for task_id in manager.task_nodes:
-                    task = state.tasks.get(task_id)
-                    if task is not None and not task.is_running:
-                        decision.unscheduled.append(task_id)
+                defer_pending(state, manager.task_nodes, decision)
             else:
                 results.append(result)
-                network = self._managers[cell].network
                 assignments = extract_placements(
-                    network,
+                    manager.network,
                     manager.task_nodes,
                     manager.machine_nodes,
                     manager.sink_node,
                 )
-                self._diff_cell(state, manager, assignments, decision)
+                diff_assignments(
+                    state, manager.task_nodes, assignments,
+                    self.allow_migrations, decision,
+                )
                 decision.total_cost += result.total_cost
                 if not result.optimal:
                     decision.degraded = True
@@ -1026,15 +706,9 @@ class ShardedScheduler:
         """Solve every cell in-process, in cell order (deterministic)."""
         outcomes: List[Tuple[int, Optional[SolverResult], float]] = []
         for cell, network, changes in prepared:
-            solver = self._solvers[cell]
             start = time.perf_counter()
             try:
-                if changes is not None and getattr(
-                    solver, "accepts_change_batches", False
-                ):
-                    result = solver.solve(network, changes=changes)
-                else:
-                    result = solver.solve(network)
+                result = self._solvers[cell].solve(network, changes=changes)
             except RoundDeadlineExceeded:
                 outcomes.append((cell, None, time.perf_counter() - start))
                 continue
@@ -1048,85 +722,37 @@ class ShardedScheduler:
         prepared: List[Tuple[int, FlowNetwork, Optional[ChangeBatch]]],
     ) -> List[Tuple[int, Optional[SolverResult], float]]:
         """Ship every cell's round, then gather: wall ~ the slowest cell."""
-        chaos = self.chaos
-        chaos_target = (self._round_index - 1) % self.num_cells
-        shipped: List[Tuple[int, FlowNetwork, Optional[ChangeBatch], bool]] = []
+        chaos_round = self._round_index - 1
+        chaos_target = chaos_round % self.num_cells
+        shipped: List[Optional[str]] = []
         for cell, network, changes in prepared:
-            client = self._clients[cell]
-            client.record_batch(changes)
-            cell_chaos = chaos if (chaos is not None and cell == chaos_target) else None
-            ok = client.ship(
-                round_id,
-                network,
-                changes,
-                chaos=cell_chaos,
-                chaos_round=self._round_index - 1,
-            )
-            shipped.append((cell, network, changes, ok))
+            worker = self._workers[cell]
+            worker.begin_round(changes)
+            chaos = self.chaos if cell == chaos_target else None
+            shipped.append(worker.ship(round_id, network, changes, chaos, chaos_round))
 
         timeout = self.round_deadline_seconds or GATHER_TIMEOUT_SECONDS
         deadline = time.monotonic() + timeout
         outcomes: List[Tuple[int, Optional[SolverResult], float]] = []
-        for cell, network, changes, ok in shipped:
+        for (cell, network, changes), kind in zip(prepared, shipped):
+            worker = self._workers[cell]
             payload = None
-            if ok:
+            if kind is not None:
                 remaining = max(deadline - time.monotonic(), 0.01)
-                payload = self._clients[cell].gather(round_id, remaining)
+                payload = worker.gather(round_id, remaining)
+                worker.settle()
             if payload is None:
-                # Dead, erroring, or slow worker: the parent-side solver
-                # serves this cell's round so only this cell degrades to
-                # fallback latency -- never to a lost round.
-                self._clients[cell].fallback_rounds += 1
-                inline = self._solve_cells_inline([(cell, network, changes)])
-                outcomes.extend(inline)
+                # No worker, a dead, erroring or slow one: the parent-side
+                # solver serves this cell's round so only this cell degrades
+                # to fallback latency -- never to a lost round.
+                self._fallback_rounds[cell] += 1
+                outcomes.extend(self._solve_cells_inline([(cell, network, changes)]))
                 continue
             network.set_flows(payload["flows"])
-            result = SolverResult(
-                algorithm=IncrementalCostScalingSolver.name,
-                total_cost=payload["total_cost"],
-                flows=payload["flows"],
-                potentials=payload["potentials"],
-                runtime_seconds=payload["runtime_seconds"],
-                statistics=SolverStatistics(
-                    iterations=payload["iterations"],
-                    pushes=payload["pushes"],
-                    relabels=payload["relabels"],
-                    epsilon_phases=payload["epsilon_phases"],
-                    arcs_patched=payload["arcs_patched"],
-                    nodes_touched=payload["nodes_touched"],
-                    price_refine_seconds=payload["price_refine_seconds"],
-                    price_refine_passes=payload["price_refine_passes"],
-                ),
-                optimal=payload.get("optimal", True),
+            outcomes.append(
+                (cell, result_from_payload(payload), payload["runtime_seconds"])
             )
-            outcomes.append((cell, result, payload["runtime_seconds"]))
         return outcomes
-
-    def _diff_cell(
-        self,
-        state: ClusterState,
-        manager: GraphManager,
-        assignments: Dict[int, int],
-        decision: SchedulingDecision,
-    ) -> None:
-        """Fold one cell's flow assignments into the merged decision."""
-        for task_id in manager.task_nodes:
-            task = state.tasks.get(task_id)
-            if task is None:
-                continue
-            assigned_machine = assignments.get(task_id)
-            if task.is_running:
-                if assigned_machine is None:
-                    if self.allow_migrations:
-                        decision.preemptions.append(task_id)
-                elif assigned_machine != task.machine_id:
-                    if self.allow_migrations:
-                        decision.migrations[task_id] = assigned_machine
-            else:
-                if assigned_machine is None:
-                    decision.unscheduled.append(task_id)
-                else:
-                    decision.placements[task_id] = assigned_machine
 
     def _apply_rebalance(self, state: ClusterState, decision: SchedulingDecision) -> int:
         """Run the balancer; re-homes are ordinary dirty-set mutations."""
@@ -1165,50 +791,32 @@ class ShardedScheduler:
         )
 
     # ------------------------------------------------------------------ #
-    # Application and lifecycle
+    # Lifecycle
     # ------------------------------------------------------------------ #
-    def apply(self, state: ClusterState, decision: SchedulingDecision, now: float) -> None:
-        """Apply a merged decision to the shared cluster state."""
-        for task_id in decision.preemptions:
-            state.preempt_task(task_id, now)
-        for task_id, machine_id in decision.migrations.items():
-            state.migrate_task(task_id, machine_id, now)
-        for task_id, machine_id in decision.placements.items():
-            state.place_task(task_id, machine_id, now)
-
-    def schedule_and_apply(self, state: ClusterState, now: float = 0.0) -> SchedulingDecision:
-        """Convenience wrapper: schedule and immediately apply the decision."""
-        decision = self.schedule(state, now)
-        self.apply(state, decision, now)
-        return decision
-
     def cell_transport(self) -> List[Dict[str, int]]:
         """Per-cell transport/health counters (worker mode observability).
 
         One dict per cell: ``snapshot_ships`` / ``delta_ships`` (the
         per-cell delta-ship ratio is ``delta / (delta + snapshot)``),
-        ``fallback_rounds`` (rounds the parent served after a worker
-        failure or timeout), and ``respawns``.
+        ``fallback_rounds`` (rounds the parent served without the worker:
+        a failure, a timeout, or an open circuit breaker), and
+        ``respawns``.
         """
         return [
             {
-                "snapshot_ships": client.snapshot_ships,
-                "delta_ships": client.delta_ships,
-                "fallback_rounds": client.fallback_rounds,
-                "respawns": max(client.respawns - 1, 0) if client.respawns else 0,
+                "snapshot_ships": worker.snapshot_ships,
+                "delta_ships": worker.delta_ships,
+                "fallback_rounds": fallbacks,
+                "respawns": worker.respawns,
             }
-            for client in self._clients
+            for worker, fallbacks in zip(self._workers, self._fallback_rounds)
         ]
 
     def close_cells(self) -> None:
         """Release per-cell resources (workers, solver state)."""
-        for client in self._clients:
-            client.close()
-        for solver in self._solvers:
-            close = getattr(solver, "close", None)
-            if callable(close):
-                close()
-        self._clients = []
+        for worker in self._workers:
+            worker.close()
+        self._workers = []
         self._solvers = []
 
     def close(self) -> None:

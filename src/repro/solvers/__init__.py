@@ -19,6 +19,8 @@ dual-algorithm executor of Section 6.1:
   :class:`~repro.solvers.parallel_executor.ParallelDualExecutor` (races a
   relaxation worker subprocess against parent-side incremental cost
   scaling for real)
+* :class:`~repro.solvers.worker.SolverWorker`, the out-of-process solver
+  transport shared by the racing executor and the sharded cells
 
 All solvers share the :class:`~repro.solvers.base.Solver` interface: they
 take a :class:`~repro.flow.graph.FlowNetwork`, assign an optimal flow to its
@@ -53,7 +55,8 @@ from repro.solvers.dual_executor import (
     RaceCostModel,
     SpeculativeDualExecutor,
 )
-from repro.solvers.parallel_executor import ParallelDualExecutor, RevisionChainCache
+from repro.solvers.parallel_executor import ParallelDualExecutor
+from repro.solvers.worker import RevisionChainCache, SolverWorker
 from repro.solvers.worker_health import WorkerCircuitBreaker
 
 __all__ = [
@@ -68,6 +71,7 @@ __all__ = [
     "RoundDeadline",
     "RoundDeadlineExceeded",
     "SolveAborted",
+    "SolverWorker",
     "WorkerCircuitBreaker",
     "Solver",
     "SolverResult",

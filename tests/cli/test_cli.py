@@ -196,7 +196,7 @@ class TestSchedulerKnobForwarding:
         # The per-cell solver factory and the worker kwargs both carry the
         # knob (pre-fix, ShardedScheduler never received it and every cell
         # silently solved with the default).
-        assert scheduler._solver_factory().price_refine == "spfa"
+        assert scheduler._make_cell_solver().price_refine == "spfa"
         assert scheduler._solver_kwargs == {"price_refine": "spfa"}
 
     def test_cells_forward_round_deadline(self):

@@ -332,7 +332,7 @@ class TestWorkerMode:
         scheduler = build_sharded(num_cells=2, workers=True)
         try:
             scheduler.schedule_and_apply(state, now=0.0)
-            scheduler._clients[0].kill()
+            scheduler._workers[0].kill()
             state.submit_job(make_job(job_id=2, num_tasks=1, submit_time=5.0))
             decision = scheduler.schedule_and_apply(state, now=5.0)
             assert decision.placements or not decision.unscheduled
