@@ -30,9 +30,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.common import bench_scale, build_cluster_state, make_job  # noqa: E402
-from repro.core import FirmamentScheduler, ShardedScheduler  # noqa: E402
+from repro.core import FirmamentScheduler  # noqa: E402
 from repro.core.policies import QuincyPolicy  # noqa: E402
-from repro.solvers import IncrementalCostScalingSolver  # noqa: E402
 
 MACHINE_GRID = tuple(m * bench_scale() for m in (256, 512))
 CELL_GRID = (1, 2, 4, 8)  # 1 = the monolithic scheduler
@@ -54,11 +53,9 @@ GATE_SPEEDUP = 3.0
 
 
 def make_scheduler(num_cells: int):
-    if num_cells == 1:
-        return FirmamentScheduler(
-            QuincyPolicy(), solver=IncrementalCostScalingSolver()
-        )
-    return ShardedScheduler(QuincyPolicy, num_cells=num_cells)
+    return FirmamentScheduler(
+        QuincyPolicy, solver="incremental_cost_scaling", num_cells=num_cells
+    )
 
 
 def median_round_seconds(num_machines: int, num_cells: int, churn: str) -> float:

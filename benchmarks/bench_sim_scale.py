@@ -26,7 +26,7 @@ import time
 
 from benchmarks.common import bench_scale, build_cluster_state
 from repro.baselines import SparrowScheduler
-from repro.core import ShardedScheduler
+from repro.core import FirmamentScheduler
 from repro.core.policies import QuincyPolicy
 from repro.simulation import (
     ClusterSimulator,
@@ -187,9 +187,9 @@ def test_sim_scale_sharded_flow_replay(benchmark, tmp_path):
     """The flow-based policy completes the 1k-machine replay via sharding.
 
     Same ingestion path as the queue-based replay above, but the rounds
-    are solved by :class:`ShardedScheduler` -- per-cell incremental MCMF
-    solves over rack-granular cells -- which is what makes a flow-based
-    policy feasible at this cluster size at all.
+    are solved by a multi-cell :class:`FirmamentScheduler` -- per-cell
+    incremental MCMF solves over rack-granular cells -- which is what makes
+    a flow-based policy feasible at this cluster size at all.
     """
     path = tmp_path / "sharded_trace.csv"
     rows = write_sharded_trace_csv(path)
@@ -201,7 +201,10 @@ def test_sim_scale_sharded_flow_replay(benchmark, tmp_path):
         state = build_cluster_state(
             MACHINES, slots_per_machine=SLOTS_PER_MACHINE, machines_per_rack=40
         )
-        scheduler = ShardedScheduler(QuincyPolicy, num_cells=SHARDED_CELLS)
+        scheduler = FirmamentScheduler(
+            QuincyPolicy, solver="incremental_cost_scaling",
+            num_cells=SHARDED_CELLS,
+        )
         simulator = ClusterSimulator(
             state,
             scheduler,

@@ -401,7 +401,7 @@ def measure_sharded_round() -> tuple:
     and MCMF solve cost is superlinear) must hold.
     """
     from benchmarks.common import make_job
-    from repro.core import FirmamentScheduler, ShardedScheduler
+    from repro.core import FirmamentScheduler
 
     def run(make_scheduler) -> float:
         state = build_cluster_state(
@@ -427,12 +427,13 @@ def measure_sharded_round() -> tuple:
             scheduler.close()
         return total
 
-    mono = run(
-        lambda: FirmamentScheduler(
-            QuincyPolicy(), solver=IncrementalCostScalingSolver()
+    def cells(num_cells: int):
+        return FirmamentScheduler(
+            QuincyPolicy, solver="incremental_cost_scaling", num_cells=num_cells
         )
-    )
-    sharded = run(lambda: ShardedScheduler(QuincyPolicy, num_cells=SHARD_CELLS))
+
+    mono = run(lambda: cells(1))
+    sharded = run(lambda: cells(SHARD_CELLS))
     return mono, sharded
 
 

@@ -77,12 +77,12 @@ def register(subparsers) -> None:
         help="price-refine variant for the incremental solver (default: auto)",
     )
     parser.add_argument(
-        "--cells", type=int, default=0, metavar="N",
-        help="shard the cluster into N cells (ShardedScheduler; default: off)",
+        "--cells", type=int, default=1, metavar="N",
+        help="partition the cluster into N scheduling cells (default: 1, monolithic)",
     )
     parser.add_argument(
         "--cell-workers", action="store_true",
-        help="with --cells, solve each cell in a worker subprocess",
+        help="solve each cell (also the only one) in a worker subprocess",
     )
     parser.add_argument(
         "--round-deadline", type=float, default=None, metavar="SECONDS",

@@ -15,7 +15,7 @@ from repro.baselines import (
 )
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_topology
-from repro.core import FirmamentScheduler, ShardedScheduler
+from repro.core import FirmamentScheduler
 from repro.core.policies import (
     CpuMemoryPolicy,
     LoadSpreadingPolicy,
@@ -120,21 +120,22 @@ def register(subparsers) -> None:
     parser.add_argument(
         "--cells",
         type=int,
-        default=0,
+        default=1,
         help=(
-            "shard the cluster into this many scheduling cells (racks map "
-            "to cells round-robin) and run one incremental solver per cell "
+            "partition the cluster into this many scheduling cells (racks "
+            "map to cells round-robin), each solved by its own --executor "
             "with cross-cell balancing, so round wall clock tracks the "
             "slowest cell instead of the whole cluster; firmament only, "
-            "0 keeps the monolithic scheduler (default: 0)"
+            "1 is the monolithic scheduler (default: 1)"
         ),
     )
     parser.add_argument(
         "--cell-workers",
         action="store_true",
         help=(
-            "with --cells, solve each cell in a persistent worker "
-            "subprocess instead of inline (real process parallelism)"
+            "solve each cell (also the only one) in a persistent worker "
+            "subprocess instead of inline (real process parallelism); "
+            "firmament only, not with --executor parallel"
         ),
     )
     parser.add_argument(
@@ -204,7 +205,7 @@ def run(args: argparse.Namespace) -> int:
         args.scheduler, args.policy, args.executor,
         price_refine=getattr(args, "price_refine", "auto"),
         executor_policy=getattr(args, "executor_policy", "race"),
-        cells=getattr(args, "cells", 0),
+        cells=getattr(args, "cells", 1),
         cell_workers=getattr(args, "cell_workers", False),
         round_deadline_seconds=getattr(args, "round_deadline", None),
     )
@@ -244,8 +245,8 @@ def run(args: argparse.Namespace) -> int:
     metrics = result.metrics
 
     executor_note = f", executor: {args.executor}" if args.scheduler == "firmament" else ""
-    cells = getattr(args, "cells", 0)
-    if args.scheduler == "firmament" and cells > 0:
+    cells = getattr(args, "cells", 1)
+    if args.scheduler == "firmament" and cells > 1:
         executor_note = f", cells: {cells}" + (
             " (worker subprocesses)" if getattr(args, "cell_workers", False) else " (inline)"
         )
@@ -317,62 +318,37 @@ def _make_scheduler(
     executor: str = "sequential",
     price_refine: str = "auto",
     executor_policy: str = "race",
-    cells: int = 0,
+    cells: int = 1,
     cell_workers: bool = False,
     round_deadline_seconds: Optional[float] = None,
 ):
     """Build the scheduler a CLI invocation asked for.
 
     Knob combinations that cannot take effect are rejected loudly instead
-    of silently ignored: ``cells`` only applies to the firmament scheduler,
-    the dual-executor knobs (``executor``, ``executor_policy``) do not
-    exist in the sharded scheduler (each cell runs one incremental solver,
-    there is no race to configure), and ``round_deadline_seconds`` needs a
-    flow-based scheduler with deadline support.  ``price_refine`` *is* a
-    per-cell solver knob and is forwarded to the sharded scheduler's
-    inline and worker solvers alike.
+    of silently ignored: ``cells``, ``cell_workers`` and
+    ``round_deadline_seconds`` only apply to the firmament scheduler, whose
+    constructor in turn rejects cell workers combined with the parallel
+    executor (they are daemonic processes, which may not spawn its
+    relaxation worker).  Every solver knob reaches every cell, inline or
+    in a worker.
     """
-    if cells > 0 and scheduler_name != "firmament":
-        raise ValueError(
-            f"--cells only applies to the firmament scheduler, not "
-            f"{scheduler_name!r}"
-        )
-    if round_deadline_seconds is not None and scheduler_name != "firmament":
-        raise ValueError(
-            f"--round-deadline only applies to the firmament scheduler, not "
-            f"{scheduler_name!r} (the queue-based baselines have no round "
-            "budget to enforce)"
-        )
     if scheduler_name == "firmament":
-        if cells > 0:
-            if executor != "sequential":
-                raise ValueError(
-                    f"--executor {executor!r} cannot combine with --cells: "
-                    "the sharded scheduler runs one incremental solver per "
-                    "cell (use --cell-workers for real process parallelism)"
-                )
-            if executor_policy != "race":
-                raise ValueError(
-                    f"--executor-policy {executor_policy!r} cannot combine "
-                    "with --cells: the sharded scheduler has no dual-"
-                    "algorithm race to steer"
-                )
-            return ShardedScheduler(
-                lambda: _make_policy(policy_name),
-                num_cells=cells,
-                workers=cell_workers,
-                price_refine=price_refine,
-                round_deadline_seconds=round_deadline_seconds,
-            )
-        if cell_workers:
-            raise ValueError("--cell-workers requires --cells")
         return FirmamentScheduler(
-            _make_policy(policy_name), executor=executor,
+            lambda: _make_policy(policy_name), executor=executor,
             price_refine=price_refine, executor_policy=executor_policy,
             round_deadline_seconds=round_deadline_seconds,
+            num_cells=cells, workers=cell_workers,
         )
-    if cell_workers:
-        raise ValueError("--cell-workers requires --cells")
+    for flag, given in (
+        ("--cells", cells != 1),
+        ("--cell-workers", cell_workers),
+        ("--round-deadline", round_deadline_seconds is not None),
+    ):
+        if given:
+            raise ValueError(
+                f"{flag} only applies to the firmament scheduler, not "
+                f"{scheduler_name!r}"
+            )
     if scheduler_name == "quincy":
         return make_quincy_scheduler()
     if scheduler_name == "sparrow":

@@ -1,11 +1,13 @@
-"""Sharded multi-cell scheduling: per-cell incremental solvers + balancer.
+"""Cells: the rack-granular partition behind a multi-cell Firmament scheduler.
 
 One min-cost flow network over the whole cluster is the reproduction's hard
 scaling ceiling: solver work grows superlinearly with network size, so a
 single network cannot reach the paper's 12,500-machine trace no matter how
 incremental the per-round work is.  Production clusters answer this by
 federating into *cells* (Borg-style; the paper's Firmament deployment
-schedules one cell), and this module does the same:
+schedules one cell).  :class:`~repro.core.scheduler.FirmamentScheduler`
+does the same when built with ``num_cells > 1``; this module holds the
+pieces it routes through:
 
 * :class:`CellPartition` splits the cluster into cells by **rack** -- the
   failure domain of :mod:`repro.cluster.topology` -- with a pure function
@@ -17,21 +19,13 @@ schedules one cell), and this module does the same:
   cell's racks and machines only), the round's task bucket, and a private
   :class:`~repro.cluster.events.DirtyTracker`.  Each cell's
   :class:`~repro.core.graph_manager.GraphManager` consumes its view exactly
-  as the monolithic manager consumes the full state, so the entire
+  as a one-cell scheduler's manager consumes the full state, so the entire
   incremental graph path (typed dirty sets, in-place mutation, emitted
   :class:`~repro.flow.changes.ChangeBatch`) is reused unchanged per cell.
-* :class:`ShardedScheduler` drains the global dirty tracker once per round
-  and *routes* each mark to the owning cell's tracker, updates every
-  cell's network, and solves the cells either **inline** (deterministic;
-  the round charges the *slowest* cell's runtime, modeling concurrent
-  cells the same way the sequential dual executor models the race) or in
-  persistent **worker subprocesses** -- one incremental cost-scaling
-  solver per cell behind the shared solver-worker transport
-  (:class:`~repro.solvers.worker.SolverWorker`: full snapshots on cold
-  start, revision-chained deltas and resyncs otherwise, a circuit breaker
-  per cell).  All cells ship before any gathers, so the round's wall clock
-  approaches the slowest cell rather than the sum; a cell whose worker
-  cannot answer is solved inline by the parent.
+* :class:`CellRouter` drains the global dirty tracker once per round,
+  *routes* each mark to the owning cell's tracker, and buckets the
+  schedulable tasks by home cell; the scheduler then updates, solves,
+  extracts and diffs every active cell on its one round path.
 * :class:`CrossCellBalancer` runs off the hot path, after the round's
   placements are extracted: a cell whose queued tasks exceed its free
   capacity (including a task with *no* feasible machine in its home cell)
@@ -40,55 +34,26 @@ schedules one cell), and this module does the same:
   in both cells' trackers, so it rides the incremental graph path like
   any other churn.
 
-Observability: every round's merged
-:class:`~repro.solvers.base.SolverStatistics` carries ``cells_solved``,
-straggler-cell attribution (which cell bounded the round and by how much),
-and ``cross_cell_migrations``; the simulator forwards them through
-:class:`~repro.simulation.simulator.ScheduleRecord` into
-:class:`~repro.simulation.metrics.MetricsSummary`.  Per-cell transport
-ratios (snapshot vs delta ships, fallback rounds, respawns) are exposed by
-:meth:`ShardedScheduler.cell_transport`.
-
-Chaos: the scheduler honours the same :class:`~repro.chaos.ChaosPolicy`
-faults as the parallel executor, aimed at one cell per firing round
-(``round_index % num_cells``), so a ``worker_kill`` degrades exactly the
-affected cell -- its round is served by the parent-side fallback solver --
-while every other cell's worker keeps solving undisturbed.  A cell whose
-worker keeps dying backs off through its breaker and is served inline
-until a probe round re-closes it.
+:class:`ShardedScheduler` is the pre-unification spelling of a multi-cell
+scheduler with incremental cost scaling cells, kept as a thin subclass.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cluster.events import DirtyTracker
 from repro.cluster.machine import Machine, Rack
 from repro.cluster.state import ClusterState
 from repro.cluster.task import Task
 from repro.cluster.topology import ClusterTopology
-from repro.core.graph_manager import GraphManager
-from repro.core.placement import extract_placements
-from repro.core.scheduler import (
-    DecisionApplier,
-    SchedulerStatistics,
-    SchedulingDecision,
-    defer_pending,
-    diff_assignments,
-)
-from repro.flow.changes import ChangeBatch
-from repro.flow.graph import FlowNetwork
-from repro.solvers import make_solver
-from repro.solvers.base import (
-    RoundDeadlineExceeded,
-    SolverResult,
-    SolverStatistics,
-)
-from repro.solvers.worker import SolverWorker, result_from_payload
+from repro.core.placement import extract_placements  # noqa: F401 - benchmark hook
+from repro.core.scheduler import FirmamentScheduler, SchedulingDecision
+from repro.solvers.worker import SolverWorker
 
 __all__ = [
     "CellPartition",
+    "CellRouter",
     "CellStateView",
     "CellTopologyView",
     "CrossCellBalancer",
@@ -103,18 +68,13 @@ __all__ = [
 #: every round incremental.
 MAX_MIGRATIONS_PER_ROUND = 64
 
-#: How long a worker-mode gather waits for a cell's result when no round
-#: deadline is configured.  Purely a hang guard: a worker that misses it is
-#: treated exactly like a dead worker (parent-side fallback serves the
-#: cell, the worker is respawned), so the bound trades a pathological hang
-#: for one degraded cell-round.
-GATHER_TIMEOUT_SECONDS = 300.0
-
-#: The registry name of every cell's solver, inline or in a worker.
+#: The registry name of every :class:`ShardedScheduler` cell's solver.
 CELL_SOLVER = "incremental_cost_scaling"
 
 #: Benchmark hook: ``perfbench/tracing.py`` wraps ``_CellWorkerClient.ship``
 #: and ``.gather`` by this name to time the parent's half of a cell's solve.
+#: It also wraps this module's ``extract_placements``, so the name stays
+#: importable here; rounds call the one in :mod:`repro.core.scheduler`.
 _CellWorkerClient = SolverWorker
 
 #: Prune interval (in rounds) for the task-home and job-cell maps, which
@@ -391,118 +351,64 @@ class CrossCellBalancer:
 
 
 # --------------------------------------------------------------------- #
-# The sharded scheduler
+# Routing
 # --------------------------------------------------------------------- #
-class ShardedScheduler(DecisionApplier):
-    """Flow scheduling over a rack-partitioned cluster, one solver per cell.
+class CellRouter:
+    """Splits each round of one cluster into per-cell inputs.
 
-    Drop-in for :class:`~repro.core.scheduler.FirmamentScheduler` (same
-    ``schedule`` / ``apply`` / ``schedule_and_apply`` / ``close`` /
-    ``statistics`` surface), so the simulator, CLI, and testbed drive it
-    unchanged.
-
-    Args:
-        policy_factory: Zero-argument callable producing a *fresh* policy
-            per cell (each cell's graph manager derives its own network, so
-            policies must not share per-network caches).  A policy class
-            works directly.
-        num_cells: Number of cells; racks map to cells by ``rack_id %
-            num_cells``.
-        workers: ``True`` solves each cell in a persistent subprocess
-            (ship all, then gather: wall clock ~ slowest cell).  ``False``
-            (default) solves cells inline in cell order and charges the
-            *maximum* cell runtime -- fully deterministic, modeling the
-            concurrent deployment exactly as the sequential dual executor
-            models the race.
-        price_refine: Price-refine variant forwarded to every per-cell
-            incremental cost scaling solver -- inline, fallback and worker
-            alike (``"spfa"``, ``"dijkstra"``, or ``"auto"``; see
-            :data:`repro.solvers.cost_scaling.PRICE_REFINE_MODES`).
-        allow_migrations: As in :class:`FirmamentScheduler`.
-        balance: Enable the cross-cell balancer.
-        round_deadline_seconds: Per-round budget, applied per cell (cells
-            are concurrent, so each gets the full budget).  A cell that
-            misses it degrades alone: its pending tasks wait a round while
-            the other cells' placements land normally.
-        chaos: Optional :class:`~repro.chaos.ChaosPolicy`; worker-directed
-            faults hit cell ``round_index % num_cells`` only.
+    Owns the partition, the persistent per-cell views, the task-home and
+    job-cell tables, the global dirty-epoch chain and the balancer.  A new
+    cluster state gets fresh views whose trackers start fully dirty, so
+    every cell's graph manager rebuilds once and then runs incrementally.
     """
 
-    def __init__(
-        self,
-        policy_factory,
-        num_cells: int = 4,
-        workers: bool = False,
-        price_refine: Optional[str] = None,
-        allow_migrations: bool = True,
-        balance: bool = True,
-        round_deadline_seconds: Optional[float] = None,
-        chaos=None,
-    ) -> None:
+    def __init__(self, num_cells: int, balance: bool = True) -> None:
         self.partition = CellPartition(num_cells)
         self.num_cells = num_cells
-        self.workers = workers
-        self.allow_migrations = allow_migrations
-        self.round_deadline_seconds = round_deadline_seconds
-        self.chaos = chaos
-        self._policy_factory = policy_factory
-        # Worker subprocesses build their solvers from these kwargs, and
-        # so do the inline/fallback solvers: both modes solve identically.
-        self._solver_kwargs: Dict[str, Any] = {}
-        if price_refine is not None:
-            self._solver_kwargs["price_refine"] = price_refine
-        if round_deadline_seconds is not None:
-            self._solver_kwargs["round_deadline_seconds"] = round_deadline_seconds
-        self.statistics = SchedulerStatistics()
         self.balancer = CrossCellBalancer(self.partition) if balance else None
-
-        self._state_id: Optional[int] = None
-        self._views: List[CellStateView] = []
-        self._managers: List[GraphManager] = []
-        self._solvers: List[Any] = []
-        self._workers: List[SolverWorker] = []
-        self._fallback_rounds: List[int] = []
+        self.views: List[CellStateView] = []
+        self._state: Optional[ClusterState] = None
         self._cell_had_tasks: List[bool] = []
         self._dirty_epoch: Optional[int] = None
         self._task_home: Dict[int, int] = {}
         self._job_cells: Dict[int, Set[int]] = {}
         self._round_index = 0
-        #: Rounds in which each cell was the straggler (observability).
-        self.straggler_rounds: Dict[int, int] = {}
 
-    # ------------------------------------------------------------------ #
-    # Binding and routing
-    # ------------------------------------------------------------------ #
     def _bind(self, state: ClusterState) -> None:
-        """(Re)attach to a cluster state: fresh views, managers, solvers."""
-        self.close_cells()
-        self._state_id = id(state)
-        self._views = [
+        self._state = state
+        self.views = [
             CellStateView(state, self.partition, cell)
             for cell in range(self.num_cells)
         ]
-        self._managers = [
-            GraphManager(self._policy_factory(), track_changes=True, chaos=self.chaos)
-            for _ in range(self.num_cells)
-        ]
-        self._solvers = [self._make_cell_solver() for _ in range(self.num_cells)]
-        self._workers = [
-            SolverWorker(CELL_SOLVER, self._solver_kwargs)
-            for _ in range(self.num_cells)
-        ]
-        self._fallback_rounds = [0] * self.num_cells
         self._cell_had_tasks = [False] * self.num_cells
         self._dirty_epoch = None
         self._task_home = {}
         self._job_cells = {}
-        for view in self._views:
+        for view in self.views:
             view.dirty.mark_all()
 
-    def _make_cell_solver(self):
-        """A cell's inline/fallback solver, configured like its worker's."""
-        return make_solver(CELL_SOLVER, **self._solver_kwargs)
+    def route(self, state: ClusterState) -> List[Optional[CellStateView]]:
+        """The round's per-cell inputs: a cell's view, or None when idle.
 
-    def _home_cell(self, task: Task) -> int:
+        A cell is idle when it has no tasks this round and had none last
+        round; its tracker just accumulates marks until it wakes.
+        """
+        if self._state is not state:
+            self._bind(state)
+        self._round_index += 1
+        self._route_dirty(state)
+        inputs: List[Optional[CellStateView]] = []
+        for cell, bucket in enumerate(self._bucket_tasks(state)):
+            if not bucket and not self._cell_had_tasks[cell]:
+                inputs.append(None)
+                continue
+            view = self.views[cell]
+            view.set_round_tasks(bucket)
+            self._cell_had_tasks[cell] = bool(bucket)
+            inputs.append(view)
+        return inputs
+
+    def home_cell(self, task: Task) -> int:
         """Current home cell of a task.
 
         A running task belongs to the cell of its machine (its continuation
@@ -510,7 +416,7 @@ class ShardedScheduler(DecisionApplier):
         balancer's override applies, falling back to the job-hash default.
         """
         if task.is_running and task.machine_id is not None:
-            machine = self._views[0]._state.topology.machines.get(task.machine_id)
+            machine = self._state.topology.machines.get(task.machine_id)
             if machine is not None:
                 return self.partition.cell_of_machine(machine)
         home = self._task_home.get(task.task_id)
@@ -527,7 +433,7 @@ class ShardedScheduler(DecisionApplier):
         )
         self._dirty_epoch = snapshot.epoch
         if snapshot.full or not chain_intact:
-            for view in self._views:
+            for view in self.views:
                 view.dirty.mark_all()
             return
         tasks = state.tasks
@@ -541,33 +447,33 @@ class ShardedScheduler(DecisionApplier):
                 # the mark has no one left to inform.
                 home = self._task_home.get(task_id)
                 if home is not None:
-                    self._views[home].dirty.mark_task(task_id)
+                    self.views[home].dirty.mark_task(task_id)
                 continue
-            self._views[self._home_cell(task)].dirty.mark_task(task_id)
+            self.views[self.home_cell(task)].dirty.mark_task(task_id)
         for job_id in snapshot.jobs:
             cells = self._job_cells.get(job_id)
             if cells is None:
-                for view in self._views:
+                for view in self.views:
                     view.dirty.mark_job(job_id)
             else:
                 for cell in cells:
-                    self._views[cell].dirty.mark_job(job_id)
+                    self.views[cell].dirty.mark_job(job_id)
         for machine_id in snapshot.machines_availability:
             machine = machines.get(machine_id)
             if machine is None:
-                for view in self._views:
+                for view in self.views:
                     view.dirty.mark_machine_availability(machine_id)
             else:
-                self._views[
+                self.views[
                     self.partition.cell_of_machine(machine)
                 ].dirty.mark_machine_availability(machine_id)
         for machine_id in snapshot.machines_load:
             machine = machines.get(machine_id)
             if machine is None:
-                for view in self._views:
+                for view in self.views:
                     view.dirty.mark_machine_load(machine_id)
             else:
-                self._views[
+                self.views[
                     self.partition.cell_of_machine(machine)
                 ].dirty.mark_machine_load(machine_id)
 
@@ -575,7 +481,7 @@ class ShardedScheduler(DecisionApplier):
         """Split the schedulable set into per-cell buckets (one O(live) pass)."""
         buckets: List[List[Task]] = [[] for _ in range(self.num_cells)]
         for task in state.schedulable_tasks():
-            cell = self._home_cell(task)
+            cell = self.home_cell(task)
             # Stick the task to its resolved cell so preemption does not
             # bounce it back to the job-hash default mid-flight.
             self._task_home[task.task_id] = cell
@@ -596,229 +502,56 @@ class ShardedScheduler(DecisionApplier):
             }
         return buckets
 
-    # ------------------------------------------------------------------ #
-    # Scheduling
-    # ------------------------------------------------------------------ #
-    def schedule(self, state: ClusterState, now: float = 0.0) -> SchedulingDecision:
-        """Run one sharded scheduling iteration."""
-        if self._state_id != id(state):
-            self._bind(state)
-        self._round_index += 1
-        round_id = self._round_index
-        self._route_dirty(state)
-        buckets = self._bucket_tasks(state)
-
-        # Graph maintenance: every active cell's network, in cell order.
-        graph_seconds = 0.0
-        prepared: List[Tuple[int, FlowNetwork, Optional[ChangeBatch]]] = []
-        for cell in range(self.num_cells):
-            bucket = buckets[cell]
-            if not bucket and not self._cell_had_tasks[cell]:
-                continue  # an idle cell's tracker just accumulates marks
-            view = self._views[cell]
-            view.set_round_tasks(bucket)
-            manager = self._managers[cell]
-            network = manager.update(view, now)
-            graph_seconds += manager.last_update_stats.seconds
-            self._cell_had_tasks[cell] = bool(bucket)
-            if manager.task_nodes:
-                prepared.append((cell, network, manager.last_changes))
-
-        if not prepared:
-            decision = SchedulingDecision(graph_update_seconds=graph_seconds)
-            decision.solver_result = self._merged_result([], 0.0)
-            self.statistics.record(decision)
-            return decision
-
-        wall_start = time.perf_counter()
-        if self.workers:
-            cell_results = self._solve_cells_workers(round_id, prepared)
-        else:
-            cell_results = self._solve_cells_inline(prepared)
-        round_wall = time.perf_counter() - wall_start
-
-        # Merge per-cell outcomes into one decision.
-        decision = SchedulingDecision()
-        straggler_cell, straggler_seconds = -1, 0.0
-        results: List[SolverResult] = []
-        for cell, result, runtime in cell_results:
-            manager = self._managers[cell]
-            if result is None:
-                # The cell's round died at its deadline: previous
-                # placements stand, its pending tasks wait one round.
-                defer_pending(state, manager.task_nodes, decision)
-            else:
-                results.append(result)
-                assignments = extract_placements(
-                    manager.network,
-                    manager.task_nodes,
-                    manager.machine_nodes,
-                    manager.sink_node,
-                )
-                diff_assignments(
-                    state, manager.task_nodes, assignments,
-                    self.allow_migrations, decision,
-                )
-                decision.total_cost += result.total_cost
-                if not result.optimal:
-                    decision.degraded = True
-                    decision.degraded_reason = (
-                        decision.degraded_reason or "epsilon_truncated"
-                    )
-            if runtime >= straggler_seconds:
-                straggler_cell, straggler_seconds = cell, runtime
-
-        if self.workers:
-            # The cells really ran concurrently: the measured ship+gather
-            # wall clock is the round's placement latency.
-            algorithm_runtime = round_wall
-        else:
-            # Inline cells ran back to back; charge the slowest cell, the
-            # effective latency of the concurrent deployment (same modeling
-            # convention as the sequential dual executor's race).
-            algorithm_runtime = straggler_seconds
-        decision.algorithm_runtime = algorithm_runtime
-        decision.graph_update_seconds = graph_seconds
-
-        migrations = 0
-        if self.balancer is not None:
-            migrations = self._apply_rebalance(state, decision)
-
-        merged = self._merged_result(results, algorithm_runtime)
-        merged.statistics.cells_solved = len(cell_results)
-        merged.statistics.straggler_cell = straggler_cell
-        merged.statistics.straggler_seconds = straggler_seconds
-        merged.statistics.cross_cell_migrations = migrations
-        merged.statistics.graph_update_seconds = graph_seconds
-        if decision.degraded:
-            merged.statistics.degraded_round = 1
-        if straggler_cell >= 0:
-            self.straggler_rounds[straggler_cell] = (
-                self.straggler_rounds.get(straggler_cell, 0) + 1
-            )
-        decision.solver_result = merged
-        self.statistics.record(decision)
-        return decision
-
-    def _solve_cells_inline(
-        self, prepared: List[Tuple[int, FlowNetwork, Optional[ChangeBatch]]]
-    ) -> List[Tuple[int, Optional[SolverResult], float]]:
-        """Solve every cell in-process, in cell order (deterministic)."""
-        outcomes: List[Tuple[int, Optional[SolverResult], float]] = []
-        for cell, network, changes in prepared:
-            start = time.perf_counter()
-            try:
-                result = self._solvers[cell].solve(network, changes=changes)
-            except RoundDeadlineExceeded:
-                outcomes.append((cell, None, time.perf_counter() - start))
-                continue
-            runtime = result.runtime_seconds or (time.perf_counter() - start)
-            outcomes.append((cell, result, runtime))
-        return outcomes
-
-    def _solve_cells_workers(
-        self,
-        round_id: int,
-        prepared: List[Tuple[int, FlowNetwork, Optional[ChangeBatch]]],
-    ) -> List[Tuple[int, Optional[SolverResult], float]]:
-        """Ship every cell's round, then gather: wall ~ the slowest cell."""
-        chaos_round = self._round_index - 1
-        chaos_target = chaos_round % self.num_cells
-        shipped: List[Optional[str]] = []
-        for cell, network, changes in prepared:
-            worker = self._workers[cell]
-            worker.begin_round(changes)
-            chaos = self.chaos if cell == chaos_target else None
-            shipped.append(worker.ship(round_id, network, changes, chaos, chaos_round))
-
-        timeout = self.round_deadline_seconds or GATHER_TIMEOUT_SECONDS
-        deadline = time.monotonic() + timeout
-        outcomes: List[Tuple[int, Optional[SolverResult], float]] = []
-        for (cell, network, changes), kind in zip(prepared, shipped):
-            worker = self._workers[cell]
-            payload = None
-            if kind is not None:
-                remaining = max(deadline - time.monotonic(), 0.01)
-                payload = worker.gather(round_id, remaining)
-                worker.settle()
-            if payload is None:
-                # No worker, a dead, erroring or slow one: the parent-side
-                # solver serves this cell's round so only this cell degrades
-                # to fallback latency -- never to a lost round.
-                self._fallback_rounds[cell] += 1
-                outcomes.extend(self._solve_cells_inline([(cell, network, changes)]))
-                continue
-            network.set_flows(payload["flows"])
-            outcomes.append(
-                (cell, result_from_payload(payload), payload["runtime_seconds"])
-            )
-        return outcomes
-
-    def _apply_rebalance(self, state: ClusterState, decision: SchedulingDecision) -> int:
+    def rebalance(self, state: ClusterState, decision: SchedulingDecision) -> int:
         """Run the balancer; re-homes are ordinary dirty-set mutations."""
-        moves = self.balancer.plan(state, decision, self._home_cell)
+        if self.balancer is None:
+            return 0
+        moves = self.balancer.plan(state, decision, self.home_cell)
         tasks = state.tasks
         for task_id, source, target in moves:
             self._task_home[task_id] = target
             task = tasks.get(task_id)
-            self._views[source].dirty.mark_task(task_id)
-            self._views[target].dirty.mark_task(task_id)
+            self.views[source].dirty.mark_task(task_id)
+            self.views[target].dirty.mark_task(task_id)
             if task is not None:
                 self._job_cells.setdefault(task.job_id, set()).add(target)
-                self._views[source].dirty.mark_job(task.job_id)
-                self._views[target].dirty.mark_job(task.job_id)
+                self.views[source].dirty.mark_job(task.job_id)
+                self.views[target].dirty.mark_job(task.job_id)
         return len(moves)
 
-    def _merged_result(
-        self, results: List[SolverResult], runtime: float
-    ) -> SolverResult:
-        """Combine per-cell solver results into the round's merged result."""
-        stats = SolverStatistics()
-        total_cost = 0
-        optimal = True
-        for result in results:
-            stats = stats.merge(result.statistics)
-            total_cost += result.total_cost
-            optimal = optimal and result.optimal
-        return SolverResult(
-            algorithm=f"sharded[{self.num_cells}]",
-            total_cost=total_cost,
-            flows={},
-            potentials={},
-            runtime_seconds=runtime,
-            statistics=stats,
-            optimal=optimal,
+
+# --------------------------------------------------------------------- #
+# The pre-unification spelling
+# --------------------------------------------------------------------- #
+class ShardedScheduler(FirmamentScheduler):
+    """A multi-cell :class:`FirmamentScheduler` with incremental cost scaling cells.
+
+    Only an ``__init__`` that maps the old arguments onto the one
+    scheduler.  It stays because the committed benchmark constructs it and
+    wraps its ``schedule`` by name (``perfbench/sim_child.py``,
+    ``perfbench/tracing.py``); new code passes ``num_cells`` (and
+    ``solver="incremental_cost_scaling"``) to :class:`FirmamentScheduler`.
+    """
+
+    def __init__(
+        self,
+        policy_factory,
+        num_cells: int = 4,
+        workers: bool = False,
+        price_refine: Optional[str] = None,
+        allow_migrations: bool = True,
+        balance: bool = True,
+        round_deadline_seconds: Optional[float] = None,
+        chaos=None,
+    ) -> None:
+        super().__init__(
+            policy_factory,
+            solver=CELL_SOLVER,
+            allow_migrations=allow_migrations,
+            price_refine=price_refine,
+            round_deadline_seconds=round_deadline_seconds,
+            chaos=chaos,
+            num_cells=num_cells,
+            workers=workers,
+            balance=balance,
         )
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    def cell_transport(self) -> List[Dict[str, int]]:
-        """Per-cell transport/health counters (worker mode observability).
-
-        One dict per cell: ``snapshot_ships`` / ``delta_ships`` (the
-        per-cell delta-ship ratio is ``delta / (delta + snapshot)``),
-        ``fallback_rounds`` (rounds the parent served without the worker:
-        a failure, a timeout, or an open circuit breaker), and
-        ``respawns``.
-        """
-        return [
-            {
-                "snapshot_ships": worker.snapshot_ships,
-                "delta_ships": worker.delta_ships,
-                "fallback_rounds": fallbacks,
-                "respawns": worker.respawns,
-            }
-            for worker, fallbacks in zip(self._workers, self._fallback_rounds)
-        ]
-
-    def close_cells(self) -> None:
-        """Release per-cell resources (workers, solver state)."""
-        for worker in self._workers:
-            worker.close()
-        self._workers = []
-        self._solvers = []
-
-    def close(self) -> None:
-        """Shut down every cell's worker and solver (idempotent)."""
-        self.close_cells()

@@ -203,8 +203,8 @@ class SchedulerService:
             else may mutate it while the service runs).
         scheduler: Any object with the round contract
             ``schedule(state, now) -> SchedulingDecision`` and
-            ``apply(state, decision, now)`` (:class:`FirmamentScheduler`,
-            :class:`ShardedScheduler`, or the baseline wrappers).
+            ``apply(state, decision, now)`` (:class:`FirmamentScheduler`
+            with any number of cells, or the baseline wrappers).
         config: Service tunables.
         durability: Optional write-ahead log + snapshot layer; ``None``
             (the default) keeps the PR 9 in-memory-only behaviour.

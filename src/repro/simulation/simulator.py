@@ -148,8 +148,8 @@ class ScheduleRecord:
     deadline_hits: int = 0
     worker_respawns: int = 0
     breaker_open: int = 0
-    #: Sharded-scheduler observability of the round (zero/negative for
-    #: monolithic schedulers and baselines): how many cells solved, which
+    #: Cell observability of the round (zero/negative for the baselines
+    #: and for rounds with nothing to solve): how many cells solved, which
     #: cell bounded the round's wall clock (straggler attribution) and its
     #: runtime, and how many tasks the cross-cell balancer re-homed.
     num_cells: int = 0

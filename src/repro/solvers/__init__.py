@@ -20,7 +20,7 @@ dual-algorithm executor of Section 6.1:
   relaxation worker subprocess against parent-side incremental cost
   scaling for real)
 * :class:`~repro.solvers.worker.SolverWorker`, the out-of-process solver
-  transport shared by the racing executor and the sharded cells
+  transport shared by the racing executor and the scheduler's cell workers
 
 All solvers share the :class:`~repro.solvers.base.Solver` interface: they
 take a :class:`~repro.flow.graph.FlowNetwork`, assign an optimal flow to its
@@ -86,12 +86,13 @@ __all__ = [
     "DualExecutionResult",
     "SpeculativeDualExecutor",
     "ParallelDualExecutor",
-    "make_executor",
 ]
 
-#: Executor names accepted by :func:`make_executor` (and the CLI/scheduler
-#: ``--executor`` option).
-EXECUTORS = ("sequential", "parallel")
+#: The scheduler's ``executor`` names (and the CLI's ``--executor`` choices),
+#: mapped to the :func:`make_solver` registry name each one builds:
+#: ``"sequential"`` runs both algorithms back to back and models the race,
+#: ``"parallel"`` races them for real across processes.
+EXECUTORS = {"sequential": "firmament_dual", "parallel": "firmament_dual_parallel"}
 
 
 def make_solver(name: str, **kwargs) -> Solver:
@@ -116,16 +117,3 @@ def make_solver(name: str, **kwargs) -> Solver:
         raise ValueError(f"unknown solver {name!r}; choose from {sorted(registry)}")
     return registry[name](**kwargs)
 
-
-def make_executor(name: str = "sequential", **kwargs) -> SpeculativeDualExecutor:
-    """Construct a speculative dual-algorithm executor by strategy name.
-
-    ``"sequential"`` runs both algorithms back to back and models the race
-    (:class:`DualAlgorithmExecutor`); ``"parallel"`` races them for real
-    across processes (:class:`ParallelDualExecutor`).
-    """
-    if name == "sequential":
-        return DualAlgorithmExecutor(**kwargs)
-    if name == "parallel":
-        return ParallelDualExecutor(**kwargs)
-    raise ValueError(f"unknown executor {name!r}; choose from {EXECUTORS}")

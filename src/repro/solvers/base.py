@@ -79,13 +79,14 @@ class SolverStatistics:
     degraded_round: int = 0
     worker_respawns: int = 0
     breaker_open: int = 0
-    #: Sharded-round attribution (:mod:`repro.core.sharding`): how many
-    #: cells solved this round, which cell's solve took longest (the round's
-    #: wall clock in concurrent gather is the straggler's time, so tail
-    #: latency is attributed to a specific cell rather than "the cluster"),
-    #: that cell's solve seconds, and how many queued/unscheduled tasks the
-    #: cross-cell balancer re-homed after the round.  All zero (straggler
-    #: cell ``-1``) for monolithic schedulers.
+    #: Cell attribution of a scheduler round (:mod:`repro.core.scheduler`):
+    #: how many cells solved this round, which cell's solve took longest
+    #: (the round's wall clock in concurrent gather is the straggler's time,
+    #: so tail latency is attributed to a specific cell rather than "the
+    #: cluster"), that cell's solve seconds, and how many queued/unscheduled
+    #: tasks the cross-cell balancer re-homed after the round.  A one-cell
+    #: round reports one cell, straggler cell 0, and no migrations; a bare
+    #: solver leaves them zero (straggler cell ``-1``).
     cells_solved: int = 0
     straggler_cell: int = -1
     straggler_seconds: float = 0.0

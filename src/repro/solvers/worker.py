@@ -3,9 +3,10 @@
 Firmament runs its min-cost flow solver out of process and feeds it
 incremental graph changes every round.  Both users of that arrangement here
 -- the racing :class:`~repro.solvers.parallel_executor.ParallelDualExecutor`
-(a relaxation worker) and the cells of
-:class:`~repro.core.sharding.ShardedScheduler` (one incremental cost
-scaling worker per cell) -- share this one transport:
+(a relaxation worker) and the cells of a
+:class:`~repro.core.scheduler.FirmamentScheduler` built with
+``workers=True`` (one worker per cell, running the cell's solver spec) --
+share this one transport:
 
 * :func:`serve` is the subprocess entry point.  It builds its solver by
   registry name (:func:`repro.solvers.make_solver`) plus keyword arguments
@@ -264,8 +265,9 @@ class SolverWorker:
     next payload to be a full snapshot.
 
     Args:
-        solver_name: Registry name of the worker's solver
-            (``"relaxation"`` or ``"incremental_cost_scaling"``).
+        solver_name: :func:`repro.solvers.make_solver` registry name of
+            the worker's solver (e.g. ``"relaxation"`` for the racing
+            executor, any cell solver spec for the scheduler's cells).
         solver_kwargs: Constructor arguments for that solver.
         solver_attrs: Attributes set on the solver after construction
             (e.g. relaxation's ``ascent_cap``).

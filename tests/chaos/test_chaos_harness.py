@@ -236,6 +236,38 @@ class TestSchedulerDegradation:
         assert degraded_scheduler.statistics.degraded_rounds == 1
         assert degraded_scheduler.statistics.deadline_abandoned_rounds == 1
 
+    def test_dead_round_reports_its_deadline_hits(self, monkeypatch):
+        # A round where no solver finished still carries a solver result,
+        # and every dead cell counts one deadline hit (a dead solve takes
+        # its own statistics with it).
+        state = make_cluster_state(
+            num_machines=8, machines_per_rack=2, slots_per_machine=2
+        )
+        state.submit_job(make_job(job_id=1, num_tasks=3, submit_time=0.0))
+        state.submit_job(make_job(job_id=2, num_tasks=3, submit_time=0.0))
+        one_cell = FirmamentScheduler(
+            QuincyPolicy(),
+            solver=self._DeadlineStubSolver(),
+            round_deadline_seconds=0.001,
+        )
+        stats = one_cell.schedule(state, now=0.0).solver_result.statistics
+        assert (stats.cells_solved, stats.deadline_hits, stats.degraded_round) == (1, 1, 1)
+
+        monkeypatch.setattr(
+            IncrementalCostScalingSolver, "solve", self._DeadlineStubSolver.solve
+        )
+        two_cells = FirmamentScheduler(
+            QuincyPolicy,
+            solver="incremental_cost_scaling",
+            num_cells=2,
+            round_deadline_seconds=0.001,
+        )
+        decision = two_cells.schedule(state, now=0.0)
+        stats = decision.solver_result.statistics
+        assert (stats.cells_solved, stats.deadline_hits, stats.degraded_round) == (2, 2, 1)
+        assert decision.degraded_reason == "round_deadline"
+        assert sorted(decision.unscheduled) == sorted(state.tasks)
+
     def test_epsilon_truncated_round_is_marked_degraded(self, monkeypatch):
         state = make_cluster_state(num_machines=4, slots_per_machine=2)
         scheduler = FirmamentScheduler(QuincyPolicy())

@@ -187,17 +187,17 @@ class TestSchedulerKnobForwarding:
 
     def test_cells_forward_price_refine_to_cell_solvers(self):
         from repro.cli.simulate_command import _make_scheduler
-        from repro.core import ShardedScheduler
+        from repro.core import FirmamentScheduler
 
         scheduler = _make_scheduler(
             "firmament", "quincy", cells=2, price_refine="spfa",
         )
-        assert isinstance(scheduler, ShardedScheduler)
-        # The per-cell solver factory and the worker kwargs both carry the
-        # knob (pre-fix, ShardedScheduler never received it and every cell
-        # silently solved with the default).
-        assert scheduler._make_cell_solver().price_refine == "spfa"
-        assert scheduler._solver_kwargs == {"price_refine": "spfa"}
+        assert isinstance(scheduler, FirmamentScheduler)
+        # The per-cell solvers and the worker kwargs both carry the
+        # knob (pre-fix, the sharded scheduler never received it and every
+        # cell silently solved with the default).
+        assert scheduler.solvers[1].incremental.price_refine == "spfa"
+        assert scheduler._solver_kwargs["price_refine"] == "spfa"
 
     def test_cells_forward_round_deadline(self):
         from repro.cli.simulate_command import _make_scheduler
@@ -216,28 +216,33 @@ class TestSchedulerKnobForwarding:
         ]) == 1
         assert "--cells" in capsys.readouterr().err
 
-    def test_cells_with_parallel_executor_fails_loudly(self, capsys):
-        # Pre-fix, --executor parallel was silently dropped when --cells
-        # was given (ShardedScheduler has no dual race to configure).
-        assert main([
-            "simulate", "--machines", "4", "--duration", "10",
-            "--cells", "2", "--executor", "parallel",
-        ]) == 1
-        assert "--executor" in capsys.readouterr().err
-
-    def test_cells_with_auto_executor_policy_fails_loudly(self, capsys):
-        assert main([
-            "simulate", "--machines", "4", "--duration", "10",
+    def test_cells_with_auto_executor_policy_runs(self, capsys):
+        # Every cell runs the dual executor, so its race policy applies.
+        code = main([
+            "simulate", "--machines", "8", "--duration", "30",
+            "--utilization", "0.5", "--seed", "1",
             "--cells", "2", "--executor-policy", "auto",
-        ]) == 1
-        assert "--executor-policy" in capsys.readouterr().err
+        ])
+        assert code == 0
+        assert "cells: 2" in capsys.readouterr().out
 
-    def test_cell_workers_without_cells_fails_loudly(self, capsys):
+    def test_cell_workers_with_one_cell_runs(self, capsys):
+        code = main([
+            "simulate", "--machines", "8", "--duration", "20",
+            "--utilization", "0.5", "--seed", "1", "--cell-workers",
+        ])
+        assert code == 0
+        assert "tasks placed" in capsys.readouterr().out
+
+    def test_cell_workers_with_parallel_executor_fails_loudly(self, capsys):
+        # Cell workers are daemonic and cannot spawn the racing executor's
+        # own relaxation worker.
         assert main([
             "simulate", "--machines", "4", "--duration", "10",
-            "--cell-workers",
+            "--cell-workers", "--executor", "parallel",
         ]) == 1
-        assert "--cell-workers" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--cell-workers" in err and "--executor parallel" in err
 
     def test_sharded_cli_run_with_knobs_succeeds(self, capsys):
         code = main([

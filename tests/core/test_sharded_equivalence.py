@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from repro.core import FirmamentScheduler, ShardedScheduler
+from repro.core import FirmamentScheduler
 from repro.core.policies import CpuMemoryPolicy, QuincyPolicy
 from repro.simulation.simulator import (
     ClusterSimulator,
@@ -34,6 +34,14 @@ from tests.core.test_incremental_graph_equivalence import _random_job
 
 SEEDS = range(6)
 ROUNDS = 8
+
+
+def cell_scheduler(
+    policy_factory, num_cells, solver="incremental_cost_scaling", **kwargs
+):
+    return FirmamentScheduler(
+        policy_factory, solver=solver, num_cells=num_cells, **kwargs
+    )
 
 
 def make_churn_script(seed: int):
@@ -143,7 +151,8 @@ def run_churn(seed: int, make_scheduler):
 @pytest.mark.parametrize(
     "policy_factory", (QuincyPolicy, CpuMemoryPolicy), ids=("quincy", "cpu_memory")
 )
-def test_sharded_matches_monolithic_placement_quality(seed, policy_factory):
+@pytest.mark.parametrize("cell_solver", ("incremental_cost_scaling", "firmament_dual"))
+def test_sharded_matches_monolithic_placement_quality(seed, policy_factory, cell_solver):
     """Same scripted churn, same number of tasks kept running at the end.
 
     The script is scheduler-independent, so both runs see the identical
@@ -154,7 +163,7 @@ def test_sharded_matches_monolithic_placement_quality(seed, policy_factory):
     mono_running, _ = run_churn(seed, lambda: FirmamentScheduler(policy_factory()))
     for num_cells in (2, 4):
         sharded_running, _ = run_churn(
-            seed, lambda: ShardedScheduler(policy_factory, num_cells=num_cells)
+            seed, lambda: cell_scheduler(policy_factory, num_cells, cell_solver)
         )
         assert sharded_running >= mono_running, (
             f"seed {seed}, {num_cells} cells: sharded kept {sharded_running} "
@@ -163,7 +172,8 @@ def test_sharded_matches_monolithic_placement_quality(seed, policy_factory):
 
 
 @pytest.mark.parametrize("seed", (0, 1))
-def test_sharded_worker_mode_matches_inline(seed):
+@pytest.mark.parametrize("num_cells", (1, 4))
+def test_sharded_worker_mode_matches_inline(seed, num_cells):
     """Worker subprocesses are an execution strategy, not a policy change.
 
     Equally-optimal flows may break ties differently across the DIMACS
@@ -177,7 +187,7 @@ def test_sharded_worker_mode_matches_inline(seed):
         state = make_cluster_state(
             num_machines=num_machines, machines_per_rack=machines_per_rack
         )
-        scheduler = ShardedScheduler(QuincyPolicy, num_cells=4, workers=workers)
+        scheduler = cell_scheduler(QuincyPolicy, num_cells, workers=workers)
         try:
             for round_index in range(ROUNDS):
                 now = round_index * 10.0
@@ -206,7 +216,7 @@ def test_sharded_simulation_conserves_placements():
         seed=11,
     )
     generator = GoogleTraceGenerator(config, state.topology)
-    scheduler = ShardedScheduler(QuincyPolicy, num_cells=4)
+    scheduler = cell_scheduler(QuincyPolicy, 4)
     simulator = ClusterSimulator(
         state, scheduler, SimulationConfig(max_time=120.0)
     )
@@ -255,7 +265,7 @@ def test_sharded_simulation_places_like_monolithic():
         return result.metrics.tasks_placed
 
     mono = replay(lambda: FirmamentScheduler(QuincyPolicy()))
-    sharded = replay(lambda: ShardedScheduler(QuincyPolicy, num_cells=4))
+    sharded = replay(lambda: cell_scheduler(QuincyPolicy, 4))
     assert sharded >= int(mono * 0.95), (
         f"sharded placed {sharded} tasks, monolithic {mono}"
     )
@@ -266,7 +276,7 @@ def test_job_spanning_cells_after_rehoming():
     accounted: all placed, none double-placed."""
     state = make_cluster_state(num_machines=4, machines_per_rack=2)
     state.submit_job(make_job(job_id=0, num_tasks=6))  # overflows cell 0
-    scheduler = ShardedScheduler(QuincyPolicy, num_cells=2)
+    scheduler = cell_scheduler(QuincyPolicy, 2)
     placed = set()
     try:
         for round_index in range(3):

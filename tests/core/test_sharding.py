@@ -20,7 +20,7 @@ import pytest
 
 from repro.chaos import ChaosPolicy
 from repro.cluster.machine import Machine
-from repro.core import CellPartition, ShardedScheduler
+from repro.core import CellPartition, FirmamentScheduler
 from repro.core.policies import QuincyPolicy
 from repro.core.sharding import CellTopologyView
 from repro.simulation.failures import FailureInjector
@@ -28,7 +28,10 @@ from tests.conftest import make_cluster_state, make_job
 
 
 def build_sharded(num_cells=4, **kwargs):
-    return ShardedScheduler(QuincyPolicy, num_cells=num_cells, **kwargs)
+    return FirmamentScheduler(
+        QuincyPolicy, solver="incremental_cost_scaling", num_cells=num_cells,
+        **kwargs,
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -160,7 +163,7 @@ class TestShardedScheduling:
         scheduler = build_sharded(num_cells=4)
         try:
             scheduler.schedule(state, now=1.0)
-            assert scheduler._home_cell(task) == 0
+            assert scheduler._router.home_cell(task) == 0
         finally:
             scheduler.close()
 
@@ -232,7 +235,7 @@ class TestCrossCellBalancer:
         # Far more cell-0 overflow than the per-round migration ceiling.
         state.submit_job(make_job(job_id=0, num_tasks=40))
         scheduler = build_sharded(num_cells=2)
-        scheduler.balancer.max_migrations_per_round = 4
+        scheduler._router.balancer.max_migrations_per_round = 4
         try:
             decision = scheduler.schedule_and_apply(state, now=0.0)
             assert decision.solver_result.statistics.cross_cell_migrations <= 4
